@@ -15,21 +15,14 @@
                      forced timestamp extension — validation resolves each
                      self-locked entry's pre-lock word (was O(locks) each).
 
-      With the index the per-op cost must stay flat while the baseline
-      grows with S; asserted as: the baseline's 512-vs-8 per-op cost ratio
-      exceeds twice the indexed ratio, for every path.  (Ratios of per-op
-      costs are robust to the absolute speed of a shared box.)
+      With the descriptor indexes the per-op cost must stay flat in S;
+      asserted as: the 512-vs-8 per-op cost ratio is at most 2.0, for
+      every path.  (A ratio of per-op costs is robust to the absolute
+      speed of a shared box; a linear scan grows 4.6-12.6x here.)
 
-   2. Equivalence on the deterministic simulator: index lookups charge no
-      virtual cycles, so a contended multi-worker run must produce a
-      bit-identical schedule under both arms — same event stream (via a
-      history tap), same commit/abort counts, same per-worker op counts —
-      and both histories must be oracle-clean.  The workload reads
-      distinct slots per transaction: read-set *contents* are then
-      arm-independent, which is the documented precondition for schedule
-      identity (indexed-mode anywhere-dedup may shrink read sets that
-      re-read an orec non-consecutively, legitimately changing validation
-      charges). *)
+   2. A contended multi-worker run on the deterministic simulator, recorded
+      through a history tap: the history must be oracle-clean, and the run
+      must actually abort (otherwise the check is vacuous). *)
 
 open Partstm_util
 open Partstm_stm
@@ -39,8 +32,7 @@ module Check = Partstm_check
 
 (* Allocate tvars until [count] of them map to pairwise-distinct lock-table
    slots.  Distinct slots make per-op costs comparable across set sizes
-   (no entry collapses into another's orec) and keep phase 2's read sets
-   duplicate-free. *)
+   (no entry collapses into another's orec). *)
 let distinct_slot_tvars partition ~count =
   let table = (Partition.region partition).Region.table in
   let seen = Hashtbl.create (2 * count) in
@@ -123,8 +115,8 @@ let measure ~reps f =
   done;
   !best /. float_of_int reps
 
-let ns_per_op (cfg : Bench_config.t) scenario ~fast_index ~set_size =
-  let system = System.create ~max_workers:8 ~fast_index () in
+let ns_per_op (cfg : Bench_config.t) scenario ~set_size =
+  let system = System.create ~max_workers:8 () in
   let partition = System.partition system ~mode:scenario.sc_mode "p1-cost" in
   let tvars = distinct_slot_tvars partition ~count:(set_size + 1) in
   let extra = tvars.(set_size) in
@@ -138,16 +130,10 @@ let ns_per_op (cfg : Bench_config.t) scenario ~fast_index ~set_size =
   let reps = max 3 (budget / set_size) in
   measure ~reps body /. float_of_int (scenario.sc_ops set_size) *. 1e9
 
-(* -- Phase 2: schedule equivalence on the simulator ----------------------- *)
+(* -- Phase 2: oracle-checked contended run on the simulator ---------------- *)
 
-type arm_run = {
-  ar_result : Driver.result;
-  ar_events : Check.History.event list;
-  ar_report : Check.Oracle.report;
-}
-
-let equivalence_run (cfg : Bench_config.t) ~fast_index =
-  let system = System.create ~max_workers:12 ~fast_index () in
+let contended_run (cfg : Bench_config.t) =
+  let system = System.create ~max_workers:12 () in
   (* Attach before creating the partition: the oracle needs the lock
      table's Generation event to know the base version of fresh slots. *)
   let history = Check.History.create () in
@@ -164,8 +150,7 @@ let equivalence_run (cfg : Bench_config.t) ~fast_index =
     let rng = ctx.Driver.rng in
     let ops = ref 0 in
     while not (ctx.Driver.should_stop ()) do
-      (* 4 reads + 1 write over 5 distinct slots: contended (16 slots,
-         4 workers) but duplicate-free within a transaction. *)
+      (* 4 reads + 1 write over 5 distinct slots, 16 slots, 4 workers. *)
       let start = Rng.int rng slots in
       System.atomically txn (fun t ->
           let sum = ref 0 in
@@ -181,9 +166,9 @@ let equivalence_run (cfg : Bench_config.t) ~fast_index =
   let result =
     Driver.run ~seed:42 ~mode:(Driver.default_sim ~cycles ()) ~workers:4 worker
   in
-  Check.History.detach (System.engine system);
+  Check.History.detach history;
   let events = Check.History.events history in
-  { ar_result = result; ar_events = events; ar_report = Check.Oracle.check events }
+  (result, events, Check.Oracle.check events)
 
 (* -- Driver ---------------------------------------------------------------- *)
 
@@ -193,12 +178,12 @@ let run (cfg : Bench_config.t) =
   (* Phase 1 *)
   let sizes = [ 8; 64; 512 ] in
   let costs = Hashtbl.create 32 in
-  let cost scenario ~fast_index ~set_size =
-    match Hashtbl.find_opt costs (scenario.sc_name, fast_index, set_size) with
+  let cost scenario ~set_size =
+    match Hashtbl.find_opt costs (scenario.sc_name, set_size) with
     | Some c -> c
     | None ->
-        let c = ns_per_op cfg scenario ~fast_index ~set_size in
-        Hashtbl.add costs (scenario.sc_name, fast_index, set_size) c;
+        let c = ns_per_op cfg scenario ~set_size in
+        Hashtbl.add costs (scenario.sc_name, set_size) c;
         c
   in
   List.iter
@@ -209,63 +194,38 @@ let run (cfg : Bench_config.t) =
           ~title:(Printf.sprintf "R-P1 %s: per-access cost vs set size" scenario.sc_name)
           ~xlabel:"set size" ~ylabel:"ns/access"
       in
-      List.iter
-        (fun (label, fast_index) ->
-          Figure.add_series figure ~label
-            (List.map
-               (fun s -> (float_of_int s, cost scenario ~fast_index ~set_size:s))
-               sizes))
-        [ ("indexed", true); ("baseline", false) ];
+      Figure.add_series figure ~label:"indexed"
+        (List.map (fun s -> (float_of_int s, cost scenario ~set_size:s)) sizes);
       Bench_config.emit cfg figure)
     scenarios;
   let lo = List.hd sizes and hi = List.nth sizes (List.length sizes - 1) in
   List.iter
     (fun scenario ->
-      let growth fast_index =
-        cost scenario ~fast_index ~set_size:hi /. cost scenario ~fast_index ~set_size:lo
-      in
-      let base = growth false and idx = growth true in
-      Printf.printf "%-12s per-access growth %dx->%dx: baseline %.1fx, indexed %.1fx\n"
-        scenario.sc_name lo hi base idx;
-      if base <= 2.0 *. idx then
+      let growth = cost scenario ~set_size:hi /. cost scenario ~set_size:lo in
+      Printf.printf "%-12s per-access growth %dx->%dx: %.2fx\n" scenario.sc_name lo hi growth;
+      if growth > 2.0 then
         failwith
-          (Printf.sprintf
-             "R-P1 (%s): expected super-linear baseline vs flat indexed cost \
-              (baseline growth %.2fx, indexed %.2fx)"
-             scenario.sc_name base idx))
+          (Printf.sprintf "R-P1 (%s): per-access cost grew %.2fx from %d to %d entries (> 2.0x)"
+             scenario.sc_name growth lo hi))
     scenarios;
   print_newline ();
 
   (* Phase 2 *)
-  let indexed = equivalence_run cfg ~fast_index:true in
-  let baseline = equivalence_run cfg ~fast_index:false in
+  let result, events, report = contended_run cfg in
   let table =
-    Partstm_util.Table.create ~title:"simulated equivalence (4 workers, 16 slots)"
-      ~header:[ "arm"; "txns"; "commits"; "aborts"; "events"; "anomalies" ]
+    Partstm_util.Table.create ~title:"simulated contended run (4 workers, 16 slots)"
+      ~header:[ "txns"; "commits"; "aborts"; "events"; "anomalies" ]
   in
-  List.iter
-    (fun (name, arm) ->
-      Partstm_util.Table.add_row table
-        [
-          name;
-          string_of_int arm.ar_result.Driver.total_ops;
-          string_of_int arm.ar_report.Check.Oracle.committed;
-          string_of_int arm.ar_report.Check.Oracle.aborted;
-          string_of_int (List.length arm.ar_events);
-          string_of_int (List.length arm.ar_report.Check.Oracle.anomalies);
-        ])
-    [ ("indexed", indexed); ("baseline", baseline) ];
+  Partstm_util.Table.add_row table
+    [
+      string_of_int result.Driver.total_ops;
+      string_of_int report.Check.Oracle.committed;
+      string_of_int report.Check.Oracle.aborted;
+      string_of_int (List.length events);
+      string_of_int (List.length report.Check.Oracle.anomalies);
+    ];
   Partstm_util.Table.print table;
-  if indexed.ar_report.Check.Oracle.anomalies <> [] || baseline.ar_report.Check.Oracle.anomalies <> []
-  then failwith "R-P1: oracle found anomalies";
-  if indexed.ar_report.Check.Oracle.aborted = 0 then
-    failwith "R-P1: equivalence run was uncontended (vacuous)";
-  if indexed.ar_result.Driver.total_ops <> baseline.ar_result.Driver.total_ops
-     || indexed.ar_result.Driver.per_worker_ops <> baseline.ar_result.Driver.per_worker_ops
-  then failwith "R-P1: arms diverged in operation counts";
-  if indexed.ar_events <> baseline.ar_events then
-    failwith "R-P1: arms produced different event streams";
-  Printf.printf
-    "equivalence: %d events bit-identical across arms, %d commits / %d aborts, oracle clean\n"
-    (List.length indexed.ar_events)
-    indexed.ar_report.Check.Oracle.committed indexed.ar_report.Check.Oracle.aborted
+  if report.Check.Oracle.anomalies <> [] then failwith "R-P1: oracle found anomalies";
+  if report.Check.Oracle.aborted = 0 then failwith "R-P1: contended run was uncontended (vacuous)";
+  Printf.printf "contended run: %d events, %d commits / %d aborts, oracle clean\n"
+    (List.length events) report.Check.Oracle.committed report.Check.Oracle.aborted

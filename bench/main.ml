@@ -23,7 +23,7 @@ let experiments =
     ("o1", "observability: tracing & profiling overhead", Exp_o1.run);
     ("obs2", "observability: always-on metrics-plane overhead", Exp_obs2.run);
     ("p1", "descriptor fast-path per-op cost & schedule equivalence", Exp_p1.run);
-    ("d1", "domains hardware scaling: padded vs boxed (BENCH_D1.json)", Exp_d1.run);
+    ("d1", "domains hardware scaling over worker counts (BENCH_D1.json)", Exp_d1.run);
     ("m1", "protocol comparison: sv / mv / ctl + tuner autonomy (BENCH_M1.json)", Exp_m1.run);
     ("y1", "YCSB phased traffic + social-feed app (BENCH_Y1.json)", Exp_y1.run);
   ]

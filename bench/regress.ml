@@ -68,7 +68,7 @@ let join path key = if path = "" then key else path ^ "." ^ key
 
 (* An --ignore pattern matches a subtree either as a dot-path prefix from
    the comparison root ("domains.ycsb.config") or as a bare key name
-   appearing anywhere on the path ("padded_gain_pct", "speedup_vs_1") —
+   appearing anywhere on the path ("speedup_vs_1", "aborts") —
    the latter is how wall-clock gates drop a noise-dominated derived
    metric wherever it nests. *)
 let ignored_path ~ignored path =
@@ -243,7 +243,7 @@ let ignore_arg =
     & info [ "ignore" ] ~docv:"KEYPATH"
         ~doc:
           "Skip a subtree by dot-path prefix, or by bare key name wherever it nests \
-           (repeatable), e.g. $(b,--ignore padded_gain_pct)")
+           (repeatable), e.g. $(b,--ignore speedup_vs_1)")
 
 let cmd =
   let doc = "Diff a fresh bench artifact against a committed BENCH_*.json baseline" in

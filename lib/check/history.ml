@@ -18,9 +18,10 @@ type t = {
   mutable events : event list;  (* newest first *)
   mutable count : int;
   mutex : Mutex.t;
+  mutable tap : (Engine.t * int) option;  (* the engine tap while attached *)
 }
 
-let create () = { events = []; count = 0; mutex = Mutex.create () }
+let create () = { events = []; count = 0; mutex = Mutex.create (); tap = None }
 
 let push t event =
   Mutex.lock t.mutex;
@@ -42,11 +43,16 @@ let recorder t =
     rec_generation = (fun ~region ~version -> push t (Generation { region; version }));
   }
 
-(* Goes through the deprecated [set_recorder] shim on purpose: the shim is
-   one tap among possibly several, so a tracer attached via [Engine.add_tap]
-   keeps observing the same run (exercised by the fan-out tests). *)
-let attach t engine = Engine.set_recorder engine (Some (recorder t))
-let detach engine = Engine.set_recorder engine None
+(* One engine tap among possibly several: a tracer attached via
+   [Engine.add_tap] keeps observing the same run (exercised by the fan-out
+   tests). *)
+let detach t =
+  Option.iter (fun (engine, id) -> Engine.remove_tap engine id) t.tap;
+  t.tap <- None
+
+let attach t engine =
+  detach t;
+  t.tap <- Some (engine, Engine.add_tap engine (recorder t))
 
 let events t = List.rev t.events
 let length t = t.count

@@ -21,11 +21,11 @@ type t
 val create : unit -> t
 
 val attach : t -> Engine.t -> unit
-(** Install this recorder on the engine. Only while no transaction is in
-    flight. *)
+(** Install this recorder as a tap on the engine (moving it off any engine
+    it was attached to). Only while no transaction is in flight. *)
 
-val detach : Engine.t -> unit
-(** Remove any recorder from the engine. *)
+val detach : t -> unit
+(** Remove this recorder's tap, if attached. *)
 
 val events : t -> event list
 (** Collected events, oldest first. *)

@@ -16,10 +16,10 @@ type t = {
 let uid_counter = Atomic.make 0
 
 let create ?max_workers ?contention_manager ?writer_wait_limit ?sample_retry_limit ?max_attempts
-    ?fast_index ?padded () =
+    () =
   let engine =
     Engine.create ?max_workers ?contention_manager ?writer_wait_limit ?sample_retry_limit
-      ?max_attempts ?fast_index ?padded ()
+      ?max_attempts ()
   in
   {
     engine;

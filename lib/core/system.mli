@@ -21,13 +21,8 @@ val create :
   ?writer_wait_limit:int ->
   ?sample_retry_limit:int ->
   ?max_attempts:int ->
-  ?fast_index:bool ->
-  ?padded:bool ->
   unit ->
   t
-(** [fast_index] (default [true]) selects the descriptor's indexed lookup
-    paths; [padded] (default [true]) cache-line-pads the hot shared words;
-    see {!Partstm_stm.Engine.create}. *)
 
 val engine : t -> Engine.t
 val registry : t -> Registry.t

@@ -82,18 +82,10 @@ type t = {
   writer_wait_limit : int;
   sample_retry_limit : int;
   max_attempts : int;
-  fast_index : bool;
-      (* descriptors use the indexed (Intmap + Bloom) lookup paths; [false]
-         selects the linear-scan baseline, kept for A/B (see bench/exp_p1) *)
-  padded : bool;
-      (* hot shared words (clock, in-flight state, orec words, reader
-         counters) live on their own cache lines; [false] is the packed
-         baseline, kept for A/B (see bench/exp_d1) *)
   mutable recorder : recorder option;
       (* the composed fan-out over [taps]; hook sites read only this field *)
   mutable taps : (int * recorder) list;  (* attach order; ids never reused *)
   mutable tap_counter : int;
-  mutable legacy_tap : int option;  (* the [set_recorder] shim's tap *)
 }
 
 let frozen_bit = 1
@@ -103,35 +95,22 @@ let inflight_unit = 2
    (hundreds of cycles) rather than abort — visible readers drain quickly
    because new readers abort against the held write lock. *)
 let create ?(max_workers = 64) ?(contention_manager = Cm.default) ?(writer_wait_limit = 512)
-    ?(sample_retry_limit = 64) ?(max_attempts = 1_000_000) ?(fast_index = true)
-    ?(padded = true) () =
+    ?(sample_retry_limit = 64) ?(max_attempts = 1_000_000) () =
   if max_workers <= 0 then invalid_arg "Engine.create: max_workers";
-  (* The clock and the in-flight state word are the two globally contended
-     words of the whole engine (every commit ticks the clock, every begin
-     and end CASes the state): keep each on its own cache line so they
-     neither fight each other nor whatever the allocator packs next to
-     them.  The id counters are cold (allocation-time only) and stay
-     packed. *)
-  let hot initial =
-    if padded then Partstm_util.Padding.atomic_int initial else Atomic.make initial
-  in
   {
-    clock = hot 0;
+    clock = Atomic.make 0;
     tvar_counter = Atomic.make 0;
     descriptor_counter = Atomic.make 0;
     region_counter = Atomic.make 0;
-    state = hot 0;
+    state = Atomic.make 0;
     max_workers;
     contention_manager;
     writer_wait_limit;
     sample_retry_limit;
     max_attempts;
-    fast_index;
-    padded;
     recorder = None;
     taps = [];
     tap_counter = 0;
-    legacy_tap = None;
   }
 
 (* -- Tap fan-out ---------------------------------------------------------
@@ -182,19 +161,6 @@ let remove_tap t id =
   t.recorder <- compose t.taps
 
 let taps t = List.map fst t.taps
-
-(* Deprecated shim: the historical single-recorder API, now one tap among
-   possibly several.  [Some r] replaces the shim's previous tap (if any);
-   [None] removes it.  Other taps are unaffected. *)
-let set_recorder t recorder =
-  (match t.legacy_tap with
-  | Some id ->
-      remove_tap t id;
-      t.legacy_tap <- None
-  | None -> ());
-  match recorder with
-  | None -> ()
-  | Some r -> t.legacy_tap <- Some (add_tap t r)
 
 let now t = Atomic.get t.clock
 

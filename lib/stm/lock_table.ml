@@ -9,7 +9,6 @@ type t = {
   readers : int Atomic.t array;
   granularity_log2 : int;
   uid : int;
-  padded : bool;
 }
 
 (* Process-wide table identity, used to key descriptor indexes: OCaml has no
@@ -17,35 +16,21 @@ type t = {
    [slot_key] packs (uid, slot) into one int. *)
 let uid_counter = Atomic.make 0
 
-(* Padding budget: a padded slot costs 2 × 128 B (orec word + reader
-   counter), so cap padding at 4096 slots (1 MiB per table).  Beyond that
-   — only reachable if [Mode.granularity_max] grows past 12 — fall back to
-   packed [Atomic.make] boxes: with thousands of slots, accesses are spread
-   thin enough that density beats false-sharing avoidance. *)
-let padded_slots_max = 4096
-
-let create ~padded ~clock_now ~granularity_log2 =
+let create ~clock_now ~granularity_log2 =
   if granularity_log2 < Mode.granularity_min || granularity_log2 > Mode.granularity_max then
     invalid_arg "Lock_table.create: granularity out of range";
   let slots = 1 lsl granularity_log2 in
-  let padded = padded && slots <= padded_slots_max in
   (* Fresh orecs start at the current clock: any transaction with an older
      read version conservatively re-validates (or extends) on first contact,
      so swapping tables can never hide a concurrent update. *)
   let initial = Orec.make_version clock_now in
-  let make_array init =
-    if padded then Padding.atomic_array ~len:slots init
-    else Array.init slots (fun _ -> Atomic.make init)
-  in
+  let make_array init = Array.init slots (fun _ -> Atomic.make init) in
   {
     words = make_array initial;
     readers = make_array 0;
     granularity_log2;
     uid = Atomic.fetch_and_add uid_counter 1;
-    padded;
   }
-
-let is_padded t = t.padded
 
 let slots t = Array.length t.words
 

@@ -7,17 +7,11 @@ type t = {
   readers : int Atomic.t array;
   granularity_log2 : int;
   uid : int;  (** process-wide unique table id (keys descriptor indexes) *)
-  padded : bool;  (** orecs/counters are cache-line-padded blocks *)
 }
 
-val create : padded:bool -> clock_now:int -> granularity_log2:int -> t
+val create : clock_now:int -> granularity_log2:int -> t
 (** Fresh orecs start at version [clock_now] (conservative, safe across
-    table swaps). [padded] allocates each orec word and reader counter on
-    its own cache line ({!Partstm_util.Padding}) so concurrent CASes on
-    adjacent slots do not false-share; it is capped internally for very
-    large tables and can be disabled for A/B comparison (bench/exp_d1). *)
-
-val is_padded : t -> bool
+    table swaps). *)
 
 val slots : t -> int
 val slot_of_id : t -> int -> int

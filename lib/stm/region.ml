@@ -48,14 +48,13 @@ let create engine ~name ?(mode = Mode.default) () =
     name;
     engine;
     table =
-      Lock_table.create ~padded:engine.Engine.padded ~clock_now:base
-        ~granularity_log2:mode.Mode.granularity_log2;
+      Lock_table.create ~clock_now:base ~granularity_log2:mode.Mode.granularity_log2;
     visibility = mode.Mode.visibility;
     update = mode.Mode.update;
     protocol = mode.Mode.protocol;
     mv_depth = mv_depth_of mode.Mode.protocol;
     mv_epoch = 0;
-    ctl_seq = Seqlock.create ~padded:engine.Engine.padded;
+    ctl_seq = Seqlock.create ();
     stats = Region_stats.create ~max_workers:engine.Engine.max_workers;
     tvars = Atomic.make 0;
   }
@@ -85,8 +84,7 @@ let reconfigure t (new_mode : Mode.t) =
         let base = Engine.now t.engine in
         record_generation t.engine ~region:t.id ~version:base;
         t.table <-
-          Lock_table.create ~padded:t.engine.Engine.padded ~clock_now:base
-            ~granularity_log2:new_mode.Mode.granularity_log2
+          Lock_table.create ~clock_now:base ~granularity_log2:new_mode.Mode.granularity_log2
       end;
       t.visibility <- new_mode.Mode.visibility;
       t.update <- new_mode.Mode.update;

@@ -7,16 +7,13 @@
    when it moved — so an uncontended commit-time-lock read costs one load
    here instead of an orec sample + read-set entry.  Writers take the lock
    only inside commit (CAS even -> odd), publish, and release with a plain
-   store of the next even value.
-
-   The word is allocated cache-line-padded when the engine is (it is the
-   region's single hottest word under this protocol). *)
+   store of the next even value. *)
 
 open Partstm_util
 
 type t = int Atomic.t
 
-let create ~padded = if padded then Padding.atomic_int 0 else Atomic.make 0
+let create () = Atomic.make 0
 
 let read t = Atomic.get t
 

@@ -4,7 +4,7 @@
 
 type t = int Atomic.t
 
-val create : padded:bool -> t
+val create : unit -> t
 val read : t -> int
 val is_locked : int -> bool
 

@@ -106,14 +106,11 @@ type t = {
   mutable mv_inhibit : bool;
   mutable commit_wv : int;
   ctl_checks : (unit -> bool) Vec.t;
-  (* Indexed fast paths (engine.fast_index; DESIGN.md §3 "descriptor
-     indexing").  Orecs are identified by [Lock_table.slot_key]; every
-     index lookup and [own_bloom] test charges no simulated cycles, so
-     enabling the index never changes a deterministic-sim schedule (only
-     host-time cost).  [indexed = false] keeps the historical linear scans
-     for A/B comparison (bench/exp_p1). *)
-  indexed : bool;
-  read_keys : int Vec.t;  (* slot_key per read entry (indexed mode only) *)
+  (* Descriptor indexes (DESIGN.md §3 "descriptor indexing").  Orecs are
+     identified by [Lock_table.slot_key]; every index lookup and
+     [own_bloom] test charges no simulated cycles, so the index shows up
+     only in host time, never in a deterministic-sim schedule. *)
+  read_keys : int Vec.t;  (* slot_key per read entry *)
   read_index : Intmap.t;  (* slot_key -> read-set position (dedup) *)
   lock_index : Intmap.t;  (* slot_key -> lock_words position *)
   vis_index : Intmap.t;  (* slot_key -> vis_counters position *)
@@ -162,7 +159,6 @@ let create engine ~worker_id =
     mv_inhibit = false;
     commit_wv = 0;
     ctl_checks = Vec.create ~dummy:dummy_check ();
-    indexed = engine.Engine.fast_index;
     read_keys = Vec.create ~dummy:0 ();
     read_index = Intmap.create ();
     lock_index = Intmap.create ();
@@ -276,27 +272,11 @@ let iter_active_entries t f = iter_active_aux t.txn_epoch f t.entries
 
 (* -- Validation and extension ------------------------------------------- *)
 
-let find_lock_prev t word =
-  let n = Vec.length t.lock_words in
-  let rec loop i =
-    if i >= n then None
-    else if Vec.get t.lock_words i == word then Some (Vec.get t.lock_prev i)
-    else loop (i + 1)
-  in
-  loop 0
-
-(* Indexed variant: the read entry's slot_key (logged in [read_keys])
-   resolves the owning lock entry in O(1) instead of scanning
-   [lock_words] — the scan made validating a read set with many self-locked
-   entries O(reads * locks). *)
-let find_lock_prev_indexed t ~read_pos =
-  let j = Intmap.find t.lock_index (Vec.get t.read_keys read_pos) in
-  if j >= 0 then Some (Vec.get t.lock_prev j) else None
-
 (* A read entry is valid iff its orec still carries the exact word observed
    at read time, or we have since write-locked it ourselves (in which case
-   the pre-lock word must match).  Returns the index of the first invalid
-   entry, or -1 when the whole read set is valid. *)
+   the pre-lock word must match; the entry's slot_key resolves the lock
+   entry through [lock_index] in O(1)).  Returns the index of the first
+   invalid entry, or -1 when the whole read set is valid. *)
 let first_invalid t =
   let n = Vec.length t.read_words in
   let rec loop i =
@@ -308,12 +288,8 @@ let first_invalid t =
       let current = Atomic.get word in
       if current = observed then loop (i + 1)
       else if Orec.locked_by current ~owner:t.id then
-        let prev =
-          if t.indexed then find_lock_prev_indexed t ~read_pos:i else find_lock_prev t word
-        in
-        match prev with
-        | Some previous when previous = observed -> loop (i + 1)
-        | Some _ | None -> i
+        let j = Intmap.find t.lock_index (Vec.get t.read_keys i) in
+        if j >= 0 && Vec.get t.lock_prev j = observed then loop (i + 1) else i
       else i
     end
   in
@@ -476,33 +452,20 @@ let record_read t (entry : region_entry) ~slot ~version =
 let log_invisible_read t (entry : region_entry) ~slot (word : int Atomic.t) w1 =
   (* Reads covered by an already-logged orec need no new log entry —
      this is what makes coarse granularity cheap for scan-style
-     transactions.  Indexed mode suppresses duplicates anywhere in
-     the read set (alternating reads over two coarse orecs no longer
-     double the set per iteration); this is sound because at this
-     point the word is known valid at [rv], and by clock monotonicity the
-     logged observation of the same orec at [<= rv] must be the identical
-     word — a later committed version would carry a tick past the
-     validation that moved [rv].  The equality check keeps the dedup
-     conservative anyway (under seeded zombie bugs a mismatch
-     appends, so validation still sees the stale entry and fails as
-     it should).  The baseline collapses only consecutive
-     duplicates, as historically. *)
-  let fresh =
-    if t.indexed then begin
-      let key = Lock_table.slot_key entry.re_table slot in
-      let i = Intmap.find t.read_index key in
-      if i >= 0 && Vec.get t.read_observed i = w1 then false
-      else begin
-        Intmap.set t.read_index key (Vec.length t.read_words);
-        Vec.push t.read_keys key;
-        true
-      end
-    end
-    else
-      let n = Vec.length t.read_words in
-      n = 0 || not (Vec.get t.read_words (n - 1) == word && Vec.get t.read_observed (n - 1) = w1)
-  in
-  if fresh then begin
+     transactions.  Duplicates are suppressed anywhere in the read set
+     (alternating reads over two coarse orecs do not double the set per
+     iteration); this is sound because at this point the word is known
+     valid at [rv], and by clock monotonicity the logged observation of
+     the same orec at [<= rv] must be the identical word — a later
+     committed version would carry a tick past the validation that moved
+     [rv].  The equality check keeps the dedup conservative anyway (under
+     seeded zombie bugs a mismatch appends, so validation still sees the
+     stale entry and fails as it should). *)
+  let key = Lock_table.slot_key entry.re_table slot in
+  let i = Intmap.find t.read_index key in
+  if i < 0 || Vec.get t.read_observed i <> w1 then begin
+    Intmap.set t.read_index key (Vec.length t.read_words);
+    Vec.push t.read_keys key;
     Vec.push t.read_words word;
     Vec.push t.read_observed w1;
     (* Keep the conflict-attribution log in lockstep with the read
@@ -631,16 +594,12 @@ let read_invisible t (entry : region_entry) tvar ~slot (word : int Atomic.t) =
   Runtime_hook.charge Runtime_hook.Read_invisible;
   invisible_sample t entry tvar ~slot word 0
 
-(* Do we already hold a visible-reader count on [counter]?  Called once per
-   visible read, so the historical [Vec.exists] made a transaction's k-th
-   visible read cost O(k).  Indexed mode answers with a Bloom test (one
-   [land]; exact "no" for the common read-only-so-far case) backed by the
-   vis index. *)
-let holds_visible t ~key counter =
-  if t.indexed then
-    let bits = bloom_bits key in
-    t.own_bloom land bits = bits && Intmap.find t.vis_index key >= 0
-  else Vec.exists (fun c -> c == counter) t.vis_counters
+(* Do we already hold a visible-reader count on the slot [key]?  Called
+   once per visible read: a Bloom test (one [land]; exact "no" for the
+   common read-only-so-far case) backed by the vis index keeps it O(1). *)
+let holds_visible t ~key =
+  let bits = bloom_bits key in
+  t.own_bloom land bits = bits && Intmap.find t.vis_index key >= 0
 
 let read_visible (type a) t (entry : region_entry) (tvar : a Tvar.t) ~(table : Lock_table.t)
     ~slot (word : int Atomic.t) : a =
@@ -648,7 +607,7 @@ let read_visible (type a) t (entry : region_entry) (tvar : a Tvar.t) ~(table : L
   let key = Lock_table.slot_key table slot in
   let w0 = Atomic.get word in
   if Orec.locked_by w0 ~owner:t.id then Atomic.get tvar.Tvar.cell
-  else if holds_visible t ~key counter then
+  else if holds_visible t ~key then
     (* Shared hold since an earlier read (strict 2PL): no writer can have
        committed to this slot meanwhile. *)
     Atomic.get tvar.Tvar.cell
@@ -656,10 +615,8 @@ let read_visible (type a) t (entry : region_entry) (tvar : a Tvar.t) ~(table : L
     Runtime_hook.charge Runtime_hook.Read_visible;
     ignore (Atomic.fetch_and_add counter 1);
     Vec.push t.vis_counters counter;
-    if t.indexed then begin
-      Intmap.set t.vis_index key (Vec.length t.vis_counters - 1);
-      t.own_bloom <- t.own_bloom lor bloom_bits key
-    end;
+    Intmap.set t.vis_index key (Vec.length t.vis_counters - 1);
+    t.own_bloom <- t.own_bloom lor bloom_bits key;
     let w = Atomic.get word in
     if Orec.is_locked w then
       if Orec.owner w = t.id then Atomic.get tvar.Tvar.cell else lock_conflict t entry ~slot
@@ -783,17 +740,12 @@ let acquire_slot t (entry : region_entry) ~slot (word : int Atomic.t) (counter :
       else begin
         Vec.push t.lock_words word;
         Vec.push t.lock_prev w;
-        if t.indexed then begin
-          Intmap.set t.lock_index key (Vec.length t.lock_words - 1);
-          t.own_bloom <- t.own_bloom lor bloom_bits key
-        end;
+        Intmap.set t.lock_index key (Vec.length t.lock_words - 1);
+        t.own_bloom <- t.own_bloom lor bloom_bits key;
         (* Visible holds are unique per counter (read_visible guards on
-           [holds_visible]), so the historical O(holds) count is just a
+           [holds_visible]), so our own share of the counter is a
            membership test: 1 if we hold this slot's counter, else 0. *)
-        let my_holds =
-          if t.indexed then if Intmap.find t.vis_index key >= 0 then 1 else 0
-          else Vec.count (fun c -> c == counter) t.vis_counters
-        in
+        let my_holds = if Intmap.find t.vis_index key >= 0 then 1 else 0 in
         let rec wait spins =
           if Atomic.get counter > my_holds then
             if spins >= t.engine.Engine.writer_wait_limit then begin

@@ -1,13 +1,12 @@
 (* Hardware scaling measurement for the Domains backend (experiment D1,
    EXPERIMENTS.md §R-D1): committed transactions per wall-clock second on
-   the low-contention bank workload, swept over worker counts, with the
-   cache-line-padded memory layout A/B'd against the packed ("boxed")
-   baseline.  Shared by bench/exp_d1.ml and `partstm bench`.
+   the low-contention bank workload, swept over worker counts.  Shared by
+   bench/exp_d1.ml and `partstm bench`.
 
    Methodology (same noise discipline as R-O1): one discarded warm-up run,
-   then arms interleaved across trials so machine drift hits every arm
-   equally, best-of-N per arm (on a shared box interference only ever slows
-   a run down).  The headline metric is committed txns/sec taken from the
+   then worker counts interleaved across trials so machine drift hits every
+   point equally, best-of-N per point (on a shared box interference only
+   ever slows a run down).  The headline metric is committed txns/sec taken from the
    partition's own commit counters — not the driver's operation count — so
    aborted work never inflates the number.
 
@@ -33,7 +32,6 @@ let quick_config = { workers = [ 1; 2 ]; seconds = 0.3; trials = 2; seed = 42 }
 
 type sample = {
   s_workers : int;
-  s_padded : bool;
   s_commits_per_sec : float;
   s_ops_per_sec : float;
   s_commits : int;
@@ -45,11 +43,11 @@ type report = {
   r_config : config;
   r_recommended_domains : int;
   r_parallel_capable : bool;  (* host can run 4 workers in parallel *)
-  r_best : sample list;  (* one per (workers, padded), best commits/sec *)
+  r_best : sample list;  (* one per worker count, best commits/sec *)
 }
 
-let run_once ~padded ~workers ~seconds ~seed =
-  let system = System.create ~max_workers:(workers + 8) ~padded () in
+let run_once ~workers ~seconds ~seed =
+  let system = System.create ~max_workers:(workers + 8) () in
   let state = Bank.setup system ~strategy:Strategy.shared_invisible Bank.default_config in
   Registry.reset_stats (System.registry system);
   let result = Driver.run ~seed ~mode:(Driver.Domains { seconds }) ~workers (Bank.worker state) in
@@ -57,7 +55,6 @@ let run_once ~padded ~workers ~seconds ~seed =
   let snap = Partition.snapshot (Bank.partition state) in
   {
     s_workers = workers;
-    s_padded = padded;
     s_commits_per_sec =
       float_of_int snap.Partstm_stm.Region_stats.s_commits /. result.Driver.elapsed;
     s_ops_per_sec = result.Driver.throughput;
@@ -67,10 +64,9 @@ let run_once ~padded ~workers ~seconds ~seed =
   }
 
 let run ?(progress = fun (_ : string) -> ()) config =
-  let arms = [ true; false ] in
   progress "warm-up";
   ignore
-    (run_once ~padded:true
+    (run_once
        ~workers:(List.fold_left max 1 config.workers)
        ~seconds:(Float.min config.seconds 0.2)
        ~seed:config.seed);
@@ -78,26 +74,14 @@ let run ?(progress = fun (_ : string) -> ()) config =
   for trial = 1 to config.trials do
     List.iter
       (fun workers ->
-        List.iter
-          (fun padded ->
-            progress
-              (Printf.sprintf "trial %d/%d: %d worker(s), %s" trial config.trials workers
-                 (if padded then "padded" else "boxed"));
-            let s =
-              run_once ~padded ~workers ~seconds:config.seconds ~seed:(config.seed + trial)
-            in
-            let key = (workers, padded) in
-            match Hashtbl.find_opt samples key with
-            | Some best when best.s_commits_per_sec >= s.s_commits_per_sec -> ()
-            | _ -> Hashtbl.replace samples key s)
-          arms)
+        progress (Printf.sprintf "trial %d/%d: %d worker(s)" trial config.trials workers);
+        let s = run_once ~workers ~seconds:config.seconds ~seed:(config.seed + trial) in
+        match Hashtbl.find_opt samples workers with
+        | Some best when best.s_commits_per_sec >= s.s_commits_per_sec -> ()
+        | _ -> Hashtbl.replace samples workers s)
       config.workers
   done;
-  let best =
-    List.concat_map
-      (fun workers -> List.map (fun padded -> Hashtbl.find samples (workers, padded)) arms)
-      config.workers
-  in
+  let best = List.map (Hashtbl.find samples) config.workers in
   let recommended = Domain.recommended_domain_count () in
   {
     r_config = config;
@@ -106,27 +90,18 @@ let run ?(progress = fun (_ : string) -> ()) config =
     r_best = best;
   }
 
-let find report ~workers ~padded =
-  List.find_opt (fun s -> s.s_workers = workers && s.s_padded = padded) report.r_best
+let find report ~workers = List.find_opt (fun s -> s.s_workers = workers) report.r_best
 
-(* Speed-up of the [workers]-worker run over the 1-worker run, same arm. *)
-let speedup report ~workers ~padded =
-  match (find report ~workers:1 ~padded, find report ~workers ~padded) with
+(* Speed-up of the [workers]-worker run over the 1-worker run. *)
+let speedup report ~workers =
+  match (find report ~workers:1, find report ~workers) with
   | Some base, Some s when base.s_commits_per_sec > 0.0 ->
       Some (s.s_commits_per_sec /. base.s_commits_per_sec)
   | _ -> None
 
-(* Padded-over-boxed throughput advantage (percent) at [workers]. *)
-let padded_gain_pct report ~workers =
-  match (find report ~workers ~padded:false, find report ~workers ~padded:true) with
-  | Some boxed, Some padded when boxed.s_commits_per_sec > 0.0 ->
-      Some (100.0 *. (padded.s_commits_per_sec /. boxed.s_commits_per_sec -. 1.0))
-  | _ -> None
-
-(* Acceptance checks (ISSUE 6): monotonic commits/sec 1->4 workers with
-   >= 2.5x at 4, and padded >= boxed at the top worker count.  Evaluated
-   only on hosts that can run the workers in parallel; on smaller hosts
-   every check reports [`Skipped] with the reason recorded. *)
+(* Acceptance check: monotonic commits/sec 1->4 workers with >= 2.5x at 4.
+   Evaluated only on hosts that can run the workers in parallel; on smaller
+   hosts it reports [`Skipped] with the reason recorded. *)
 type verdict = [ `Passed | `Failed of string | `Skipped of string ]
 
 let check_scaling report =
@@ -136,12 +111,10 @@ let check_scaling report =
                        is not observable"
          report.r_recommended_domains)
   else
-    let arm = true (* the padded arm is the headline configuration *) in
     let points =
       List.filter_map
         (fun w ->
-          if w <= 4 then
-            Option.map (fun s -> (w, s.s_commits_per_sec)) (find report ~workers:w ~padded:arm)
+          if w <= 4 then Option.map (fun s -> (w, s.s_commits_per_sec)) (find report ~workers:w)
           else None)
         report.r_config.workers
     in
@@ -151,22 +124,10 @@ let check_scaling report =
     in
     if not (monotonic points) then `Failed "commits/sec not monotonic from 1 to 4 workers"
     else
-      match speedup report ~workers:4 ~padded:arm with
+      match speedup report ~workers:4 with
       | Some r when r >= 2.5 -> `Passed
       | Some r -> `Failed (Printf.sprintf "speed-up at 4 workers is %.2fx (< 2.5x)" r)
       | None -> `Skipped "sweep does not include both 1 and 4 workers"
-
-let check_padding report =
-  let top = List.fold_left max 1 report.r_config.workers in
-  if not report.r_parallel_capable then
-    `Skipped "single-core host: padding targets cross-core false sharing"
-  else
-    match padded_gain_pct report ~workers:top with
-    | Some gain when gain >= -2.0 (* noise floor *) ->
-        `Passed
-    | Some gain ->
-        `Failed (Printf.sprintf "padded arm is %.1f%% SLOWER than boxed at %d workers" gain top)
-    | None -> `Skipped "missing padded or boxed sample at the top worker count"
 
 let verdict_to_json = function
   | `Passed -> Json.Obj [ ("status", Json.String "passed") ]
@@ -180,14 +141,13 @@ let to_json report =
     Json.Obj
       [
         ("workers", Json.Int s.s_workers);
-        ("arm", Json.String (if s.s_padded then "padded" else "boxed"));
         ("commits_per_sec", Json.Float s.s_commits_per_sec);
         ("ops_per_sec", Json.Float s.s_ops_per_sec);
         ("commits", Json.Int s.s_commits);
         ("aborts", Json.Int s.s_aborts);
         ("elapsed_sec", Json.Float s.s_elapsed);
         ( "speedup_vs_1",
-          match speedup report ~workers:s.s_workers ~padded:s.s_padded with
+          match speedup report ~workers:s.s_workers with
           | Some r -> Json.Float r
           | None -> Json.Null );
       ]
@@ -212,21 +172,7 @@ let to_json report =
             ("seed", Json.Int report.r_config.seed);
           ] );
       ("points", Json.List (List.map sample_json report.r_best));
-      ( "padded_gain_pct",
-        Json.Obj
-          (List.map
-             (fun w ->
-               ( string_of_int w,
-                 match padded_gain_pct report ~workers:w with
-                 | Some g -> Json.Float g
-                 | None -> Json.Null ))
-             report.r_config.workers) );
-      ( "checks",
-        Json.Obj
-          [
-            ("scaling_1_to_4", verdict_to_json (check_scaling report));
-            ("padded_beats_boxed", verdict_to_json (check_padding report));
-          ] );
+      ("checks", Json.Obj [ ("scaling_1_to_4", verdict_to_json (check_scaling report)) ]);
     ]
 
 let to_table report =
@@ -236,25 +182,18 @@ let to_table report =
         (Printf.sprintf
            "D1: bank commits/sec on domains (best of %d, %.2fs runs, recommended domains = %d)"
            report.r_config.trials report.r_config.seconds report.r_recommended_domains)
-      ~header:[ "workers"; "padded c/s"; "boxed c/s"; "padded x1"; "pad gain%" ]
+      ~header:[ "workers"; "commits/s"; "x1" ]
   in
   List.iter
     (fun w ->
-      let cell padded =
-        match find report ~workers:w ~padded with
+      let commits =
+        match find report ~workers:w with
         | Some s -> Printf.sprintf "%.0f" s.s_commits_per_sec
         | None -> "-"
       in
       let ratio =
-        match speedup report ~workers:w ~padded:true with
-        | Some r -> Printf.sprintf "%.2fx" r
-        | None -> "-"
+        match speedup report ~workers:w with Some r -> Printf.sprintf "%.2fx" r | None -> "-"
       in
-      let gain =
-        match padded_gain_pct report ~workers:w with
-        | Some g -> Printf.sprintf "%+.1f" g
-        | None -> "-"
-      in
-      Table.add_row table [ string_of_int w; cell true; cell false; ratio; gain ])
+      Table.add_row table [ string_of_int w; commits; ratio ])
     report.r_config.workers;
   table

@@ -1,8 +1,8 @@
-(* Tests for the Domains backend productionization: cache-line padding
-   primitives, exact (race-free) statistics accounting under real domains,
-   the per-domain descriptor pool, the zero-allocation transaction fast
-   path, fast-index parity under true parallelism, and the retry hook that
-   lets the driver's deadline countdown observe aborted attempts.
+(* Tests for the Domains backend productionization: exact (race-free)
+   statistics accounting under real domains, the per-domain descriptor
+   pool, the zero-allocation transaction fast path, the descriptor indexes
+   under true parallelism, and the retry hook that lets the driver's
+   deadline countdown observe aborted attempts.
 
    These tests spawn real domains.  On a single-core host they still
    exercise every cross-domain code path (preemptive interleaving), just
@@ -15,27 +15,6 @@ open Partstm_harness
 open Partstm_workloads
 
 let check = Alcotest.check
-
-(* -- Padding primitives ---------------------------------------------------- *)
-
-let test_padding_layout () =
-  let a = Padding.atomic_int 7 in
-  check Alcotest.int "block spans a full cache line" Padding.cache_line_words
-    (Padding.block_words a);
-  check Alcotest.int "initial value" 7 (Atomic.get a);
-  Atomic.set a 9;
-  check Alcotest.int "set/get" 9 (Atomic.get a);
-  check Alcotest.int "fetch_and_add returns previous" 9 (Atomic.fetch_and_add a 3);
-  check Alcotest.int "fetch_and_add applied" 12 (Atomic.get a);
-  check Alcotest.bool "compare_and_set succeeds" true (Atomic.compare_and_set a 12 1);
-  check Alcotest.bool "compare_and_set honours expected" false (Atomic.compare_and_set a 5 2);
-  check Alcotest.int "final value" 1 (Atomic.get a)
-
-let test_padding_array () =
-  let arr = Padding.atomic_array ~len:4 0 in
-  check Alcotest.int "length" 4 (Array.length arr);
-  Array.iteri (fun i a -> Atomic.set a i) arr;
-  Array.iteri (fun i a -> check Alcotest.int "cells are independent" i (Atomic.get a)) arr
 
 (* -- Exact statistics accounting under real domains ------------------------- *)
 
@@ -151,15 +130,15 @@ let test_zero_alloc_read_only () =
     true
     (delta <= 64.0)
 
-(* -- Fast-index parity under real domains ----------------------------------- *)
+(* -- Descriptor indexes under real domains ------------------------------------ *)
 
-(* The indexed and linear-scan descriptor paths must agree under true
-   cross-domain contention, not just under the deterministic simulator
-   (test_stm covers that).  Schedules differ between arms, so parity here
-   means: money conserved, and commit accounting exact, in both. *)
-let parity_arm ~fast_index =
+(* The indexed descriptor paths (read dedup, self-lock lookup during
+   validation) must stay correct under true cross-domain contention, not
+   just under the deterministic simulator (test_stm covers that): four
+   domains of transfers must conserve money and account commits exactly. *)
+let test_index_conservation_domains () =
   let workers = 4 and per_worker = 1_000 and n_accounts = 32 in
-  let system = System.create ~max_workers:8 ~fast_index () in
+  let system = System.create ~max_workers:8 () in
   let p = System.partition system "acct" in
   let accounts = Array.init n_accounts (fun _ -> System.tvar p 100) in
   let domains =
@@ -183,16 +162,8 @@ let parity_arm ~fast_index =
     System.atomically txn (fun t ->
         Array.fold_left (fun acc v -> acc + System.read t v) 0 accounts)
   in
-  (total, snap.Region_stats.s_commits, workers * per_worker, n_accounts * 100)
-
-let test_fast_index_parity_domains () =
-  List.iter
-    (fun fast_index ->
-      let total, commits, expected_commits, expected_total = parity_arm ~fast_index in
-      let arm = if fast_index then "indexed" else "linear" in
-      check Alcotest.int (arm ^ ": money conserved") expected_total total;
-      check Alcotest.int (arm ^ ": commits exact") expected_commits commits)
-    [ true; false ]
+  check Alcotest.int "money conserved" (n_accounts * 100) total;
+  check Alcotest.int "commits exact" (workers * per_worker) snap.Region_stats.s_commits
 
 (* -- Retry hook -------------------------------------------------------------- *)
 
@@ -253,9 +224,8 @@ let test_driver_livelock_observes_deadline () =
 (* -- Scaling bench engine smoke --------------------------------------------- *)
 
 let test_scaling_run_once () =
-  let s = Scaling.run_once ~padded:true ~workers:1 ~seconds:0.05 ~seed:7 in
+  let s = Scaling.run_once ~workers:1 ~seconds:0.05 ~seed:7 in
   check Alcotest.int "workers recorded" 1 s.Scaling.s_workers;
-  check Alcotest.bool "arm recorded" true s.Scaling.s_padded;
   check Alcotest.bool "committed something" true (s.Scaling.s_commits > 0);
   check Alcotest.bool "throughput positive" true (s.Scaling.s_commits_per_sec > 0.0);
   check Alcotest.bool "elapsed sane" true (s.Scaling.s_elapsed > 0.0)
@@ -263,11 +233,6 @@ let test_scaling_run_once () =
 let () =
   Alcotest.run "domains"
     [
-      ( "padding",
-        [
-          Alcotest.test_case "layout and atomic ops" `Quick test_padding_layout;
-          Alcotest.test_case "padded array" `Quick test_padding_array;
-        ] );
       ( "stats",
         [
           Alcotest.test_case "exact accounting, 4 domains" `Quick test_stats_exact_under_domains;
@@ -279,7 +244,7 @@ let () =
             test_zero_alloc_read_only ] );
       ( "parity",
         [ Alcotest.test_case "fast-index parity under domains" `Quick
-            test_fast_index_parity_domains ] );
+            test_index_conservation_domains ] );
       ( "retry-hook",
         [
           Alcotest.test_case "fires once per rollback" `Quick test_retry_hook_unit;

@@ -36,9 +36,8 @@ let count_events p history = List.length (List.filter p (History.events history)
 
 (* -- Engine tap fan-out ------------------------------------------------------ *)
 
-(* The scenario's history recorder is installed through the deprecated
-   [set_recorder] shim; the tracer joins through [add_tap].  Both must see
-   the same run. *)
+(* The scenario's history recorder and the tracer are two independent
+   engine taps.  Both must see the same run. *)
 let fan_out_test =
   Alcotest.test_case "history shim and tracer tap observe the same run" `Quick (fun () ->
       let tracer = Obs.Tracer.create () in
@@ -52,7 +51,7 @@ let fan_out_test =
       check Alcotest.int "aborts match" aborts (Obs.Tracer.aborted tracer))
 
 let add_remove_tap_test =
-  Alcotest.test_case "add/remove/set_recorder composition" `Quick (fun () ->
+  Alcotest.test_case "add/remove tap composition" `Quick (fun () ->
       let system = System.create ~max_workers:2 () in
       let engine = System.engine system in
       let p = System.partition system "p" ~tunable:false in
@@ -61,22 +60,26 @@ let add_remove_tap_test =
       let bump counter =
         { Engine.null_recorder with Engine.rec_begin = (fun ~txn:_ ~worker:_ ~rv:_ -> incr counter) }
       in
-      let a = ref 0 and b = ref 0 and legacy = ref 0 in
+      let a = ref 0 and b = ref 0 and c = ref 0 in
       let ha = Engine.add_tap engine (bump a) in
       let hb = Engine.add_tap engine (bump b) in
-      Engine.set_recorder engine (Some (bump legacy));
+      let hc = Engine.add_tap engine (bump c) in
+      check Alcotest.(list int) "handles in attach order" [ ha; hb; hc ] (Engine.taps engine);
       System.atomically txn (fun t -> System.write t v 1);
       check Alcotest.int "tap a saw begin" 1 !a;
       check Alcotest.int "tap b saw begin" 1 !b;
-      check Alcotest.int "legacy shim saw begin" 1 !legacy;
-      (* Replacing the legacy recorder must not disturb the other taps. *)
-      Engine.set_recorder engine (Some (bump legacy));
+      check Alcotest.int "tap c saw begin" 1 !c;
+      (* Replacing one tap must not disturb the others. *)
+      Engine.remove_tap engine hc;
+      let hc' = Engine.add_tap engine (bump c) in
+      check Alcotest.bool "handles are never reused" true (hc' <> hc);
       Engine.remove_tap engine hb;
+      Engine.remove_tap engine hb (* unknown handles are ignored *);
       System.atomically txn (fun t -> System.write t v 2);
       check Alcotest.int "tap a still attached" 2 !a;
       check Alcotest.int "removed tap is silent" 1 !b;
-      check Alcotest.int "replaced shim still fires" 2 !legacy;
-      Engine.set_recorder engine None;
+      check Alcotest.int "replaced tap still fires" 2 !c;
+      Engine.remove_tap engine hc';
       Engine.remove_tap engine ha;
       check Alcotest.bool "no taps left" true (Engine.taps engine = []);
       System.atomically txn (fun t -> System.write t v 3);
