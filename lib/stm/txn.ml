@@ -669,6 +669,10 @@ let rec ctl_sample : type a. t -> region_entry -> a Tvar.t -> slot:int -> int ->
       ctl_sample t entry tvar ~slot (retries + 1)
     end
     else begin
+      (* Log the value check before any extension below: moving [rv]
+         forward must also validate the value just read, or a commit that
+         lands between this sample and the extension is half-visible. *)
+      Vec.push t.ctl_checks (fun () -> Atomic.get tvar.Tvar.cell == value);
       if entry.re_ctl_snap < 0 then begin
         entry.re_ctl_snap <- s1;
         (* Couple the fresh region snapshot to the orec snapshot: the orec
@@ -677,7 +681,6 @@ let rec ctl_sample : type a. t -> region_entry -> a Tvar.t -> slot:int -> int ->
            be half-visible (in this value, not in earlier reads). *)
         if Engine.now t.engine > t.rv then extend t entry
       end;
-      Vec.push t.ctl_checks (fun () -> Atomic.get tvar.Tvar.cell == value);
       (* slot -1: value-validated, not orec-versioned — the opacity oracle
          skips it (ABA makes value validation and version claims
          incomparable; see DESIGN.md §10.4). *)

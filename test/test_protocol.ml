@@ -144,55 +144,93 @@ let test_sim_forced_ctl () =
 (* -- Forced protocols, domains backend --------------------------------------- *)
 
 (* The same invariants under real domains, with fixed per-worker operation
-   counts so the accounting check is exact: commits = sum of operations. *)
-let domains_ledger ~protocol =
-  let workers = 4 and per_worker = 800 and accounts = 16 in
+   counts so the accounting check is exact: a partition's commits = the
+   audits (which read the whole book) + the transfers that touched it.  The
+   book is split evenly over one partition per protocol in [protocols], so
+   with two protocols every audit and about half of the transfers span
+   both. *)
+let domains_ledger ?(per_worker = 800) ?(auditors = 2) protocols =
+  let workers = 4 and accounts = 16 in
   let system = System.create ~max_workers:(workers + 4) () in
-  let p = System.partition system "ledger" ~mode:(Mode.make ~protocol ()) ~tunable:false in
-  let book = Array.init accounts (fun _ -> Partition.tvar p 100) in
+  let parts =
+    Array.of_list
+      (List.mapi
+         (fun i protocol ->
+           System.partition system (Printf.sprintf "ledger%d" i) ~mode:(Mode.make ~protocol ())
+             ~tunable:false)
+         protocols)
+  in
+  let part_of i = i * Array.length parts / accounts in
+  let book = Array.init accounts (fun i -> Partition.tvar parts.(part_of i) 100) in
   let warm = System.descriptor system ~worker_id:workers in
   Array.iter
     (fun cell -> System.atomically warm (fun t -> System.write t cell (System.read t cell)))
     book;
   Registry.reset_stats (System.registry system);
   let bad_sums = Atomic.make 0 in
+  let touched = Array.map (fun _ -> Atomic.make 0) parts in
   let domains =
     List.init workers (fun id ->
         Domain.spawn (fun () ->
             let txn = System.descriptor system ~worker_id:id in
             let rng = Rng.make (0xBEEF + id) in
             for _ = 1 to per_worker do
-              if id < workers / 2 then begin
+              if id < auditors then begin
                 let sum =
                   System.atomically txn (fun t ->
                       Array.fold_left (fun acc cell -> acc + System.read t cell) 0 book)
                 in
                 if sum <> accounts * 100 then Atomic.incr bad_sums
               end
-              else
+              else begin
                 let a = Rng.int rng accounts in
                 let b = (a + 1 + Rng.int rng (accounts - 1)) mod accounts in
                 System.atomically txn (fun t ->
                     let va = System.read t book.(a) and vb = System.read t book.(b) in
                     System.write t book.(a) (va - 1);
-                    System.write t book.(b) (vb + 1))
+                    System.write t book.(b) (vb + 1));
+                Atomic.incr touched.(part_of a);
+                if part_of b <> part_of a then Atomic.incr touched.(part_of b)
+              end
             done))
   in
   List.iter Domain.join domains;
-  let snap = Partition.snapshot p in
   let total = Array.fold_left (fun acc cell -> acc + Tvar.peek cell) 0 book in
   check Alcotest.int "money conserved" (accounts * 100) total;
   check Alcotest.int "no inconsistent sums" 0 (Atomic.get bad_sums);
-  check Alcotest.int "commits = operations, exactly" (workers * per_worker)
-    snap.Region_stats.s_commits;
-  snap
+  let audits = auditors * per_worker in
+  Array.mapi
+    (fun i p ->
+      let snap = Partition.snapshot p in
+      check Alcotest.int "commits = audits + transfers touching the partition, exactly"
+        (audits + Atomic.get touched.(i))
+        snap.Region_stats.s_commits;
+      snap)
+    parts
 
 let test_domains_forced_mv () =
-  ignore (domains_ledger ~protocol:(Protocol.Multi_version { depth = 8 }))
+  ignore (domains_ledger [ Protocol.Multi_version { depth = 8 } ])
 
 let test_domains_forced_ctl () =
-  let snap = domains_ledger ~protocol:Protocol.Commit_time_lock in
-  check Alcotest.bool "sequence-lock publishes" true (snap.Region_stats.s_ctl_commits > 0)
+  let snaps = domains_ledger [ Protocol.Commit_time_lock ] in
+  check Alcotest.bool "sequence-lock publishes" true (snaps.(0).Region_stats.s_ctl_commits > 0)
+
+(* A commit-time-lock partition next to a single-version one.  A
+   transaction's first commit-time-lock read can couple its region snapshot
+   to the orec snapshot by extending [rv]; that extension must validate the
+   value just read, or a commit landing between the read and the extension
+   is lost (transfers) or half-seen (audits).  That window is a few
+   instructions wide, so the case runs five rounds of 20,000 ops per
+   worker with three transferring domains: a build that skips the check
+   fails it in well over 9 runs of 10. *)
+let test_domains_ctl_with_sv () =
+  for _ = 1 to 5 do
+    let snaps =
+      domains_ledger ~per_worker:20_000 ~auditors:1
+        [ Protocol.Commit_time_lock; Protocol.Single_version ]
+    in
+    check Alcotest.bool "sequence-lock publishes" true (snaps.(0).Region_stats.s_ctl_commits > 0)
+  done
 
 (* -- Mid-run protocol transitions -------------------------------------------- *)
 
@@ -334,6 +372,8 @@ let () =
         [
           Alcotest.test_case "multi-version ledger" `Quick test_domains_forced_mv;
           Alcotest.test_case "commit-time-lock ledger" `Quick test_domains_forced_ctl;
+          Alcotest.test_case "commit-time-lock + single-version ledger" `Quick
+            test_domains_ctl_with_sv;
         ] );
       ( "transitions",
         [
