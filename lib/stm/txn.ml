@@ -382,8 +382,9 @@ let ctl_all_valid t = Vec.is_empty t.ctl_checks || ctl_all_valid_aux t 0
    frozen by a multi-version history read cannot extend (the history read
    is valid at [rv] only, and is not in the validatable read set), so it
    aborts — and inhibits history serving for the retry, which otherwise
-   could freeze and abort again forever. *)
-let extend t (entry : region_entry) =
+   could freeze and abort again forever.  Top-level recursion (retries of
+   the pass below), like [invisible_sample]. *)
+let rec extend_pass t (entry : region_entry) retries =
   let now = Engine.now t.engine in
   if now = t.rv then
     (* Extension coalescing: the read set is already valid at [now] — [rv]
@@ -424,11 +425,27 @@ let extend t (entry : region_entry) =
       record_conflict_raw t ~cause:Engine.Validation ~region:entry.re_region.Region.id ~slot:(-1);
       raise Abort
     end
+    else if (not (Vec.is_empty t.ctl_checks)) && Engine.now t.engine <> now then begin
+      (* A value check proves its read equal to memory when it passes, not
+         at [now]: a commit that ticked during the pass may have restored
+         a value (ABA) that an older commit, inside [now], had changed.
+         The pass holds at [now] only if the clock did not move; else redo
+         it at the new clock. *)
+      if retries >= t.engine.Engine.sample_retry_limit then begin
+        Region_stats.incr_validation_fails entry.re_stripe;
+        record_conflict_raw t ~cause:Engine.Validation ~region:entry.re_region.Region.id
+          ~slot:(-1);
+        raise Abort
+      end;
+      extend_pass t entry (retries + 1)
+    end
     else begin
       Region_stats.incr_extensions entry.re_stripe;
       t.rv <- now
     end
   end
+
+let extend t entry = extend_pass t entry 0
 
 let lock_conflict t (entry : region_entry) ~slot =
   Region_stats.incr_lock_conflicts entry.re_stripe;
@@ -665,13 +682,15 @@ let rec ctl_sample : type a. t -> region_entry -> a Tvar.t -> slot:int -> int ->
         record_conflict_raw t ~cause:Engine.Validation ~region:entry.re_region.Region.id
           ~slot:(-1);
         raise Abort
-      end;
+      end
+      else if Engine.now t.engine <> now then
+        (* A commit ticked during the value pass: see [extend_pass]. *)
+        extend t entry;
       ctl_sample t entry tvar ~slot (retries + 1)
     end
     else begin
-      (* Log the value check before any extension below: moving [rv]
-         forward must also validate the value just read, or a commit that
-         lands between this sample and the extension is half-visible. *)
+      (* Logged before the coupling extension below, so that the
+         extension validates this value too. *)
       Vec.push t.ctl_checks (fun () -> Atomic.get tvar.Tvar.cell == value);
       if entry.re_ctl_snap < 0 then begin
         entry.re_ctl_snap <- s1;
