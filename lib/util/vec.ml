@@ -54,10 +54,6 @@ let iteri f t =
     f i t.data.(i)
   done
 
-let exists predicate t =
-  let rec loop i = i < t.length && (predicate t.data.(i) || loop (i + 1)) in
-  loop 0
-
 let for_all predicate t =
   let rec loop i = i >= t.length || (predicate t.data.(i) && loop (i + 1)) in
   loop 0
@@ -69,11 +65,6 @@ let find_opt predicate t =
     else loop (i + 1)
   in
   loop 0
-
-let count predicate t =
-  let n = ref 0 in
-  iter (fun x -> if predicate x then incr n) t;
-  !n
 
 let to_list t =
   let rec loop acc i = if i < 0 then acc else loop (t.data.(i) :: acc) (i - 1) in

@@ -30,8 +30,6 @@ val resident : 'a t -> int
 
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
-val exists : ('a -> bool) -> 'a t -> bool
 val for_all : ('a -> bool) -> 'a t -> bool
 val find_opt : ('a -> bool) -> 'a t -> 'a option
-val count : ('a -> bool) -> 'a t -> int
 val to_list : 'a t -> 'a list

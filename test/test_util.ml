@@ -415,8 +415,6 @@ let test_vec_iteration () =
   let v = Vec.create ~dummy:0 () in
   List.iter (Vec.push v) [ 3; 1; 4; 1; 5 ];
   check Alcotest.(list int) "to_list" [ 3; 1; 4; 1; 5 ] (Vec.to_list v);
-  check Alcotest.int "count" 2 (Vec.count (fun x -> x = 1) v);
-  check Alcotest.bool "exists" true (Vec.exists (fun x -> x = 4) v);
   check Alcotest.bool "for_all" false (Vec.for_all (fun x -> x < 5) v);
   check Alcotest.(option int) "find" (Some 4) (Vec.find_opt (fun x -> x > 3) v);
   let sum = ref 0 in
